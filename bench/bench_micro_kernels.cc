@@ -2,7 +2,8 @@
 //
 // google-benchmark microbenchmarks for the core kernels: SCC, reachability
 // equivalence, both bisimulation algorithms, the two compression functions,
-// query evaluation on G vs Gr, and 2-hop construction.
+// query evaluation on G vs Gr, BooleanMatch on a frozen pattern quotient,
+// and 2-hop construction.
 
 #include <benchmark/benchmark.h>
 
@@ -16,9 +17,11 @@
 #include "graph/csr.h"
 #include "graph/scc.h"
 #include "index/two_hop.h"
+#include "pattern/match.h"
 #include "reach/compress_r.h"
 #include "reach/equivalence.h"
 #include "reach/queries.h"
+#include "serve/load_gen.h"
 
 namespace qpgc {
 namespace {
@@ -175,6 +178,21 @@ void BM_BfsCsrOnGr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BfsCsrOnGr);
+
+void BM_BooleanMatchOnGr(benchmark::State& state) {
+  // The serving benchmark's social graph and pattern deck: BooleanMatch on
+  // its frozen pattern quotient, round-robin over the 32 patterns.
+  Graph g = PreferentialAttachment(20000, 4, 0.45, 13);
+  AssignZipfLabels(g, 4, 1.1, 14);
+  const PatternCompression pc = CompressB(g);
+  const CsrGraph gr(pc.gr);
+  const std::vector<PatternQuery> patterns = ServeLoadPatterns(g, 32, 70);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BooleanMatch(gr, patterns[i++ % patterns.size()]));
+  }
+}
+BENCHMARK(BM_BooleanMatchOnGr)->Unit(benchmark::kMicrosecond);
 
 void BM_TwoHopBuild(benchmark::State& state) {
   const Graph g = SocialGraph(state.range(0));

@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "graph/csr.h"
-#include "util/bitset.h"
 #include "util/memory.h"
 
 namespace qpgc {

@@ -16,7 +16,9 @@
 #ifndef QPGC_CORE_PATTERN_SCHEME_H_
 #define QPGC_CORE_PATTERN_SCHEME_H_
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -28,7 +30,6 @@
 #include "graph/graph_view.h"
 #include "pattern/match.h"
 #include "pattern/pattern.h"
-#include "util/bitset.h"
 
 namespace qpgc {
 
@@ -101,9 +102,12 @@ PatternCompression CompressB(const Graph& g, const CompressBOptions& options = {
 /// the block-level match `on_gr` through `members_of` (block id -> range of
 /// member node ids, used only for size pre-reservation) and `node_map`
 /// (node -> block; kInvalidNode marks nodes outside every expandable block
-/// — sharded serving's ghost nodes). Member lists are disjoint sorted runs,
-/// so one block-mask pass over the node map emits each answer set in
-/// ascending order without a comparison sort. O(|Qp(G)| + |V|) per call.
+/// — sharded serving's ghost nodes). One pass over the node map: each block
+/// carries a mask of the pattern nodes whose answer holds it, and every
+/// node is appended to the sets its block's mask names, so the sets come
+/// out ascending without a sort. O(|V| + |Vr|·⌈|Q|/64⌉ + |Qp(G)|) per
+/// call. The fixpoint sets stay empty: P expands answers only, and the
+/// block-level fixpoint is an evaluation-internal artifact.
 /// This single implementation serves both the artifact-level overloads
 /// below (vector-of-vectors member index) and the frozen serving snapshot
 /// (flattened member index; serve/snapshot.cc).
@@ -113,29 +117,30 @@ MatchResult ExpandMatchWith(size_t num_blocks, std::span<const NodeId> node_map,
                             const MatchResult& on_gr) {
   MatchResult expanded;
   expanded.matched = on_gr.matched;
-  // P expands the answer sets only; the fixpoint stays at block granularity
-  // (an evaluation-internal artifact, copied through for callers that want
-  // the raw fixpoint).
-  expanded.fixpoint_sets = on_gr.fixpoint_sets;
-  expanded.match_sets.resize(on_gr.match_sets.size());
-  Bitset block_mask(num_blocks);
-  for (size_t u = 0; u < on_gr.match_sets.size(); ++u) {
+  const size_t num_sets = on_gr.match_sets.size();
+  expanded.match_sets.resize(num_sets);
+  if (!on_gr.matched || num_sets == 0) return expanded;
+
+  // masks[block * words + u / 64] bit u % 64: block is in answer set u.
+  const size_t words = (num_sets + 63) / 64;
+  std::vector<uint64_t> masks(num_blocks * words, 0);
+  for (size_t u = 0; u < num_sets; ++u) {
     size_t total = 0;
     for (const NodeId block : on_gr.match_sets[u]) {
       QPGC_CHECK(block < num_blocks);
-      block_mask.Set(block);
+      masks[block * words + u / 64] |= uint64_t{1} << (u % 64);
       total += members_of(block).size();
     }
-    auto& out = expanded.match_sets[u];
-    out.reserve(total);
-    if (total > 0) {
-      for (NodeId v = 0; v < node_map.size(); ++v) {
-        if (node_map[v] != kInvalidNode && block_mask.Test(node_map[v])) {
-          out.push_back(v);
-        }
+    expanded.match_sets[u].reserve(total);
+  }
+  for (NodeId v = 0; v < node_map.size(); ++v) {
+    const NodeId block = node_map[v];
+    if (block == kInvalidNode) continue;
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t m = masks[block * words + w]; m != 0; m &= m - 1) {
+        expanded.match_sets[w * 64 + std::countr_zero(m)].push_back(v);
       }
     }
-    for (const NodeId block : on_gr.match_sets[u]) block_mask.Clear(block);
   }
   return expanded;
 }

@@ -5,10 +5,17 @@
 // reports that Qp does not match G.
 //
 // Algorithm: downward fixpoint on candidate sets. S(u) starts at all
-// label-matching nodes; a pattern edge (u, u') prunes from S(u) every node
-// that cannot reach a member of S(u') by a non-empty path of length <=
-// fe(u, u') (one bounded multi-source backward BFS per re-check). A worklist
-// over pattern edges re-checks an edge only when its target set shrank.
+// label-matching nodes (one pass over the nodes, one bucket per distinct
+// pattern label); a pattern edge (u, u') prunes from S(u) every node that
+// cannot reach a member of S(u') by a non-empty path of length <=
+// fe(u, u'). A worklist over pattern edges re-checks an edge only when its
+// target set shrank. Each re-check is one direction-optimizing kernel
+// (match_detail::PruneByEdge): push backward levels from S(u'), then
+// settle the last two levels by pulling over S(u) with early exit, each
+// pull budgeted by the push it replaces (and replaced by that push on
+// overrun). All prunes of one call share one epoch-stamped scratch, so a
+// prune allocates nothing and starts in O(1). BooleanMatch stops at the
+// first empty set and builds no MatchResult.
 // The pruning operator is monotone, so iterating from any superset of the
 // greatest fixpoint converges exactly to it — which is what makes warm
 // starts (incremental matching, pattern/inc_match.h) exact as well.
@@ -20,12 +27,13 @@
 #ifndef QPGC_PATTERN_MATCH_H_
 #define QPGC_PATTERN_MATCH_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/graph_view.h"
-#include "graph/traversal.h"
 #include "pattern/pattern.h"
 
 namespace qpgc {
@@ -40,7 +48,8 @@ struct MatchResult {
   /// the empty set then).
   std::vector<std::vector<NodeId>> match_sets;
   /// The greatest fixpoint itself, regardless of the emptiness rule. This is
-  /// what incremental maintenance warm-starts from.
+  /// what incremental maintenance warm-starts from. Left empty by the
+  /// expansion P (core/pattern_scheme.h), which expands answers only.
   std::vector<std::vector<NodeId>> fixpoint_sets;
 
   /// Total number of (u, v) pairs in the answer.
@@ -57,23 +66,231 @@ struct MatchResult {
 
 namespace match_detail {
 
-// Prunes S(e.from) to nodes with a non-empty path of length <= e.bound to a
-// member of S(e.to). Returns true iff S(e.from) shrank.
+/// Scratch of one Match/MatchFrom/BooleanMatch call, shared by every prune
+/// of that call. Both arrays are epoch-stamped over |V|: a prune owns the
+/// stamps e = NextEpoch() and e + 1, so it starts in O(1) instead of
+/// clearing or allocating |V| entries. Scratch is never shared between
+/// calls, so concurrent readers of one frozen view need no synchronization.
+struct MatchScratch {
+  explicit MatchScratch(size_t num_nodes)
+      : near(num_nodes, 0), hit(num_nodes, 0) {}
+
+  /// Starts a prune: returns e such that no node carries e or e + 1 yet.
+  uint32_t NextEpoch() {
+    if (epoch >= UINT32_MAX - 3) {  // about to wrap: clear stale stamps once
+      std::fill(near.begin(), near.end(), 0);
+      std::fill(hit.begin(), hit.end(), 0);
+      epoch = 0;
+    }
+    epoch += 2;
+    return epoch;
+  }
+
+  /// near[x] == e iff x lies within the levels pushed so far of S(u')
+  /// (S(u') itself is level 0).
+  std::vector<uint32_t> near;
+  /// hit[x] == e: x is known to have a non-empty path of length <= fe into
+  /// S(u'). hit[x] == e + 1: x is known to lie farther than fe - 1 from it.
+  std::vector<uint32_t> hit;
+  std::vector<NodeId> frontier;
+  std::vector<NodeId> next;
+  uint32_t epoch = 0;
+};
+
+// Prunes S(e.from) to the nodes with a non-empty path of length <= e.bound
+// to a member of S(e.to). Returns true iff S(e.from) shrank.
+//
+// Direction-optimizing. v keeps its place iff some out-neighbor of v lies
+// within e.bound - 1 of S(e.to). The kernel pushes backward levels from
+// S(e.to) (stamping `near`) and settles the last two levels by pulling over
+// S(e.from) with early exit: level bound - 1 lazily (an out-neighbor's
+// verdict is memoized in `hit`), level bound against `near`. Each pull is
+// budgeted by an estimate of the edges the push it replaces would scan
+// (frontier size times average degree); on overrun the kernel pushes that
+// level instead and finishes the rest the other way, so neither direction
+// runs far past the cost of the other. A '*' bound pushes to exhaustion,
+// which completes `hit` on its own.
 template <GraphView G>
 bool PruneByEdge(const G& g, const PatternEdge& e,
-                 std::vector<std::vector<NodeId>>& sets) {
-  const std::vector<NodeId>& targets = sets[e.to];
+                 std::vector<std::vector<NodeId>>& sets, MatchScratch& s) {
   std::vector<NodeId>& source = sets[e.from];
+  const std::vector<NodeId>& targets = sets[e.to];
   if (source.empty()) return false;
   if (targets.empty()) {
     source.clear();
     return true;
   }
-  const Bitset allowed =
-      BoundedMultiSourceReach(g, targets, e.bound, Direction::kBackward);
+  const uint32_t epoch = s.NextEpoch();
+  const uint32_t farther = epoch + 1;
   const size_t before = source.size();
-  std::erase_if(source, [&](NodeId v) { return !allowed.Test(v); });
+
+  // Level 0 is S(e.to).
+  s.frontier.assign(targets.begin(), targets.end());
+  for (const NodeId x : s.frontier) s.near[x] = epoch;
+  const size_t avg_degree =
+      g.num_edges() / std::max<size_t>(g.num_nodes(), 1) + 1;
+  // One backward level: every in-neighbor of the frontier has a non-empty
+  // path into S(e.to) no longer than the level, so it is hit; the ones not
+  // yet near form the next frontier (unless this is the last push).
+  const auto push = [&](bool grow_near) {
+    s.next.clear();
+    for (const NodeId x : s.frontier) {
+      for (const NodeId w : g.InNeighbors(x)) {
+        s.hit[w] = epoch;
+        if (grow_near && s.near[w] != epoch) {
+          s.near[w] = epoch;
+          s.next.push_back(w);
+        }
+      }
+    }
+    s.frontier.swap(s.next);
+  };
+  const auto keep_hit = [&] {
+    std::erase_if(source, [&](NodeId v) { return s.hit[v] != epoch; });
+    return source.size() != before;
+  };
+
+  if (e.bound == kStarBound) {
+    while (!s.frontier.empty()) push(/*grow_near=*/true);
+    return keep_hit();
+  }
+  for (uint32_t level = 0; level + 2 < e.bound && !s.frontier.empty();
+       ++level) {
+    push(/*grow_near=*/true);
+  }
+  // An exhausted frontier means every near node was pushed: hit is final.
+  if (s.frontier.empty()) return keep_hit();
+
+  // Compact S(e.from) in place: [begin, kept) survives, [it, end) is open.
+  auto kept = source.begin();
+  auto it = source.begin();
+  size_t spent = 0;
+  size_t budget = s.frontier.size() * avg_degree;
+  if (e.bound >= 2) {
+    // Level bound - 1, pulled: near holds levels <= bound - 2, so an
+    // out-neighbor w of v qualifies iff it is near or has a near
+    // out-neighbor.
+    for (; it != source.end() && spent <= budget; ++it) {
+      bool keep = false;
+      for (const NodeId w : g.OutNeighbors(*it)) {
+        ++spent;
+        if (s.near[w] == epoch || s.hit[w] == epoch) {
+          keep = true;
+          break;
+        }
+        if (s.hit[w] == farther) continue;
+        bool w_near = false;
+        for (const NodeId x : g.OutNeighbors(w)) {
+          ++spent;
+          if (s.near[x] == epoch) {
+            w_near = true;
+            break;
+          }
+        }
+        s.hit[w] = w_near ? epoch : farther;
+        if (w_near) {
+          keep = true;
+          break;
+        }
+      }
+      if (keep) *kept++ = *it;
+    }
+    if (it != source.end()) push(/*grow_near=*/true);
+  }
+  // Level bound, pulled against near (levels <= bound - 1).
+  spent = 0;
+  budget = s.frontier.size() * avg_degree;
+  for (; it != source.end() && spent <= budget; ++it) {
+    bool keep = false;
+    for (const NodeId w : g.OutNeighbors(*it)) {
+      ++spent;
+      if (s.near[w] == epoch) {
+        keep = true;
+        break;
+      }
+    }
+    if (keep) *kept++ = *it;
+  }
+  // Overrun: push the last level, which completes hit, and filter the rest.
+  if (it != source.end()) {
+    push(/*grow_near=*/false);
+    for (; it != source.end(); ++it) {
+      if (s.hit[*it] == epoch) *kept++ = *it;
+    }
+  }
+  source.erase(kept, source.end());
   return source.size() != before;
+}
+
+/// Runs the downward fixpoint over `sets` in place with a worklist of
+/// pattern edges (an edge is re-checked only when its target set shrank).
+/// Returns true iff every set is non-empty at the end. With
+/// `stop_when_empty`, returns false as soon as some set is empty, leaving
+/// the sets part-way (supersets of the fixpoint).
+template <GraphView G>
+bool Fixpoint(const G& g, const PatternQuery& q,
+              std::vector<std::vector<NodeId>>& sets, bool stop_when_empty) {
+  const auto any_empty = [&] {
+    return std::any_of(sets.begin(), sets.end(),
+                       [](const std::vector<NodeId>& s) { return s.empty(); });
+  };
+  if (stop_when_empty && any_empty()) return false;
+
+  MatchScratch scratch(g.num_nodes());
+  // Worklist of pattern-edge ids whose *target* set changed (initially all).
+  std::deque<uint32_t> worklist;
+  std::vector<uint8_t> queued(q.num_edges(), 1);
+  for (uint32_t e = 0; e < q.num_edges(); ++e) worklist.push_back(e);
+
+  while (!worklist.empty()) {
+    const uint32_t eid = worklist.front();
+    worklist.pop_front();
+    queued[eid] = 0;
+    const PatternEdge& e = q.edge(eid);
+    if (PruneByEdge(g, e, sets, scratch)) {
+      if (stop_when_empty && sets[e.from].empty()) return false;
+      // S(e.from) shrank: every edge whose target is e.from must re-check.
+      for (uint32_t other : q.in_edges(e.from)) {
+        if (!queued[other]) {
+          worklist.push_back(other);
+          queued[other] = 1;
+        }
+      }
+    }
+  }
+  return !any_empty();
+}
+
+/// The label-candidate sets S(u) = {v : fv(u) = label(v)}, sorted, in one
+/// pass over the nodes with one bucket per distinct pattern label (pattern
+/// nodes sharing a label get copies of one bucket).
+template <GraphView G>
+std::vector<std::vector<NodeId>> LabelCandidates(const G& g,
+                                                 const PatternQuery& q) {
+  std::vector<Label> labels;
+  labels.reserve(q.num_nodes());
+  for (uint32_t u = 0; u < q.num_nodes(); ++u) labels.push_back(q.label(u));
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+
+  // Bucket k collects the nodes no pattern node asks for, which keeps the
+  // per-node bucket choice free of data-dependent branches.
+  const size_t k = labels.size();
+  std::vector<std::vector<NodeId>> buckets(k + 1);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const Label l = g.label(v);
+    size_t rank = 0;
+    for (size_t i = 0; i < k; ++i) rank += labels[i] < l;
+    buckets[rank < k && labels[rank] == l ? rank : k].push_back(v);
+  }
+
+  std::vector<std::vector<NodeId>> candidates(q.num_nodes());
+  for (uint32_t u = 0; u < q.num_nodes(); ++u) {
+    candidates[u] = buckets[std::lower_bound(labels.begin(), labels.end(),
+                                             q.label(u)) -
+                            labels.begin()];
+  }
+  return candidates;
 }
 
 }  // namespace match_detail
@@ -88,38 +305,8 @@ MatchResult MatchFrom(const G& g, const PatternQuery& q,
   QPGC_CHECK(candidates.size() == q.num_nodes());
   MatchResult result;
   result.fixpoint_sets = std::move(candidates);
-
-  // Worklist of pattern-edge ids whose *target* set changed (initially all).
-  std::deque<uint32_t> worklist;
-  std::vector<uint8_t> queued(q.num_edges(), 0);
-  for (uint32_t e = 0; e < q.num_edges(); ++e) {
-    worklist.push_back(e);
-    queued[e] = 1;
-  }
-
-  while (!worklist.empty()) {
-    const uint32_t eid = worklist.front();
-    worklist.pop_front();
-    queued[eid] = 0;
-    const PatternEdge& e = q.edge(eid);
-    if (match_detail::PruneByEdge(g, e, result.fixpoint_sets)) {
-      // S(e.from) shrank: every edge whose target is e.from must re-check.
-      for (uint32_t other : q.in_edges(e.from)) {
-        if (!queued[other]) {
-          worklist.push_back(other);
-          queued[other] = 1;
-        }
-      }
-    }
-  }
-
-  result.matched = true;
-  for (uint32_t u = 0; u < q.num_nodes(); ++u) {
-    if (result.fixpoint_sets[u].empty()) {
-      result.matched = false;
-      break;
-    }
-  }
+  result.matched = match_detail::Fixpoint(g, q, result.fixpoint_sets,
+                                          /*stop_when_empty=*/false);
   result.match_sets = result.matched
                           ? result.fixpoint_sets
                           : std::vector<std::vector<NodeId>>(q.num_nodes());
@@ -129,20 +316,16 @@ MatchResult MatchFrom(const G& g, const PatternQuery& q,
 /// Computes the maximum match of q in g.
 template <GraphView G>
 MatchResult Match(const G& g, const PatternQuery& q) {
-  std::vector<std::vector<NodeId>> candidates(q.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (uint32_t u = 0; u < q.num_nodes(); ++u) {
-      if (q.label(u) == g.label(v)) candidates[u].push_back(v);
-    }
-  }
-  return MatchFrom(g, q, std::move(candidates));
+  return MatchFrom(g, q, match_detail::LabelCandidates(g, q));
 }
 
 /// True iff q matches g (Boolean pattern query; no post-processing needed on
-/// compressed graphs).
+/// compressed graphs). Stops at the first empty candidate set and never
+/// builds a MatchResult.
 template <GraphView G>
 bool BooleanMatch(const G& g, const PatternQuery& q) {
-  return Match(g, q).matched;
+  std::vector<std::vector<NodeId>> sets = match_detail::LabelCandidates(g, q);
+  return match_detail::Fixpoint(g, q, sets, /*stop_when_empty=*/true);
 }
 
 // Non-template Graph overloads (compiled once in match.cc).

@@ -20,6 +20,7 @@
 
 #include "gen/uniform.h"
 #include "gen/update_gen.h"
+#include "match_oracle.h"
 #include "pattern/pattern_gen.h"
 #include "serve/query_service.h"
 #include "serve/snapshot.h"
@@ -483,6 +484,53 @@ TEST(ServingStressTest, ConcurrentQueriesMatchOracleForPinnedVersion) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+// Several readers evaluate patterns on ONE pinned snapshot at the same
+// time. The match kernel's scratch is per call, so the readers share
+// nothing but the frozen quotient; every answer must equal the oracle's.
+TEST(ServingStressTest, ConcurrentMatchesOnOnePinMatchOracle) {
+  constexpr size_t kReaders = 4;
+  constexpr size_t kRoundsPerReader = 40;
+
+  const Graph g = GenerateUniform(300, 760, 4, 43);
+  std::vector<PatternQuery> patterns = TestPatterns(g, 6, 81);
+  {
+    PatternQuery star;  // a -*-> b -*-> a: a '*' bound and a cycle
+    const uint32_t a = star.AddNode(0);
+    const uint32_t b = star.AddNode(1);
+    star.AddEdge(a, b, kStarBound);
+    star.AddEdge(b, a, kStarBound);
+    patterns.push_back(std::move(star));
+  }
+  std::vector<MatchResult> want;
+  for (const PatternQuery& q : patterns) {
+    want.push_back(match_oracle::Match(g, q));
+  }
+
+  SnapshotManager mgr(g);
+  const auto pin = mgr.Acquire();
+  std::atomic<size_t> ready{0};
+  std::vector<size_t> wrong(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) std::this_thread::yield();
+      for (size_t i = 0; i < kRoundsPerReader; ++i) {
+        const size_t p = (r + i) % patterns.size();
+        if (i % 4 == 0) {
+          if (pin->Match(patterns[p]).match_sets != want[p].match_sets) {
+            ++wrong[r];
+          }
+        } else if (pin->BooleanMatch(patterns[p]) != want[p].matched) {
+          ++wrong[r];
+        }
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  for (size_t r = 0; r < kReaders; ++r) EXPECT_EQ(wrong[r], 0u) << r;
 }
 
 TEST(ServingStressTest, VersionsAreMonotoneUnderAutoPublish) {

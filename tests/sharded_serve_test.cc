@@ -32,6 +32,7 @@
 #include "graph/builder.h"
 #include "graph/scc.h"
 #include "graph/shard_view.h"
+#include "match_oracle.h"
 #include "pattern/pattern_gen.h"
 #include "serve/boundary_summary.h"
 #include "serve/load_gen.h"
@@ -599,6 +600,48 @@ TEST(ShardedServingTest, StitchCacheReusesSegmentsOfUnmovedShards) {
 // the race coverage for serve/boundary_summary.h and the router's
 // stale-entry fallback.
 // ---------------------------------------------------------------------------
+
+// Several readers evaluate patterns on ONE pinned shard vector at the same
+// time: the first calls race to build the stitched quotient (built once
+// under call_once) and then share it, each with its own kernel scratch.
+TEST(ShardedServingStressTest, ConcurrentMatchesOnOnePinMatchOracle) {
+  constexpr size_t kReaders = 4;
+  constexpr size_t kRoundsPerReader = 30;
+
+  const Graph g = GenerateUniform(240, 620, 4, 29);
+  const std::vector<PatternQuery> patterns = TestPatterns(g, 6, 91);
+  std::vector<MatchResult> want;
+  for (const PatternQuery& q : patterns) {
+    want.push_back(match_oracle::Match(g, q));
+  }
+
+  ShardedManagerOptions opts;
+  opts.num_shards = 3;
+  ShardedSnapshotManager mgr(g, opts);
+  const ShardedQueryService service(mgr);
+  const auto pins = service.Pin();
+  std::atomic<size_t> ready{0};
+  std::vector<size_t> wrong(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) std::this_thread::yield();
+      for (size_t i = 0; i < kRoundsPerReader; ++i) {
+        const size_t p = (r + i) % patterns.size();
+        if (i % 3 == 0) {
+          if (pins->Match(patterns[p]).match_sets != want[p].match_sets) {
+            ++wrong[r];
+          }
+        } else if (pins->BooleanMatch(patterns[p]) != want[p].matched) {
+          ++wrong[r];
+        }
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  for (size_t r = 0; r < kReaders; ++r) EXPECT_EQ(wrong[r], 0u) << r;
+}
 
 TEST(ShardedServingStressTest, ConcurrentShardWritersMatchVersionVectorOracle) {
   constexpr uint32_t kShards = 3;
