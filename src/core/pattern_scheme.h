@@ -105,9 +105,11 @@ PatternCompression CompressB(const Graph& g, const CompressBOptions& options = {
 /// — sharded serving's ghost nodes). One pass over the node map: each block
 /// carries a mask of the pattern nodes whose answer holds it, and every
 /// node is appended to the sets its block's mask names, so the sets come
-/// out ascending without a sort. O(|V| + |Vr|·⌈|Q|/64⌉ + |Qp(G)|) per
-/// call. The fixpoint sets stay empty: P expands answers only, and the
-/// block-level fixpoint is an evaluation-internal artifact.
+/// out ascending without a sort. Every node reads all ⌈|Q|/64⌉ mask words
+/// of its block, so a call costs O((|V| + |Vr|)·⌈|Q|/64⌉ + |Qp(G)|), i.e.
+/// O(|V| + |Qp(G)|) when |Q| <= 64. The fixpoint sets stay empty: P
+/// expands answers only, and the block-level fixpoint is an
+/// evaluation-internal artifact.
 /// This single implementation serves both the artifact-level overloads
 /// below (vector-of-vectors member index) and the frozen serving snapshot
 /// (flattened member index; serve/snapshot.cc).
@@ -145,7 +147,8 @@ MatchResult ExpandMatchWith(size_t num_blocks, std::span<const NodeId> node_map,
   return expanded;
 }
 
-/// P from a batch compression artifact. O(|Qp(G)|).
+/// P from a batch compression artifact. Scans the whole node map:
+/// O((|V| + |Vr|)·⌈|Q|/64⌉ + |Qp(G)|), see ExpandMatchWith.
 MatchResult ExpandMatch(const PatternCompression& pc, const MatchResult& on_gr);
 
 /// Same P from the raw quotient metadata (member index + node map) instead

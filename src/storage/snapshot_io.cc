@@ -2,6 +2,8 @@
 
 #include "storage/snapshot_io.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -107,8 +109,9 @@ class ArtifactWriter {
                 table.size() * sizeof(SectionEntry));
     for (size_t i = 0; i < sections_.size(); ++i) {
       const EncodedSection& enc = sections_[i].second;
-      std::memcpy(file.data() + table[i].offset, enc.bytes.data(),
-                  enc.bytes.size());
+      // std::copy, not memcpy: an empty section's data() may be null.
+      std::copy(enc.bytes.begin(), enc.bytes.end(),
+                file.begin() + static_cast<std::ptrdiff_t>(table[i].offset));
     }
 
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
