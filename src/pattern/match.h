@@ -12,9 +12,9 @@
 // target set shrank. Each re-check (match_detail::PruneByEdge) pushes
 // fe(u, u') - 2 backward levels from S(u') (none when fe <= 2), then
 // settles the last levels by one early-exit pull over S(u) that memoizes
-// each out-neighbor's verdict. All prunes of one call share one epoch-stamped scratch, so a
-// prune allocates nothing and starts in O(1). BooleanMatch stops at the
-// first empty set and builds no MatchResult.
+// each out-neighbor's verdict. All prunes of one call share one
+// epoch-stamped scratch, so a prune allocates nothing and starts in O(1).
+// BooleanMatch stops at the first empty set and builds no MatchResult.
 // The pruning operator is monotone, so iterating from any superset of the
 // greatest fixpoint converges exactly to it — which is what makes warm
 // starts (incremental matching, pattern/inc_match.h) exact as well.
