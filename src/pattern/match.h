@@ -100,12 +100,12 @@ struct MatchScratch {
 // to a member of S(e.to). Returns true iff S(e.from) shrank.
 //
 // Push: stamp S(e.to) as level 0 and push e.bound - 2 backward levels from
-// it (none for bounds 1 and 2, to exhaustion for '*'). Pull: v keeps its place iff an out-neighbor w
-// of v is stamped or, for bounds >= 2, has a stamped out-neighbor itself;
-// the scan stops at the first such w, and w's verdict is memoized for the
-// rest of the prune. Pulling the last two levels instead of pushing them
-// skips the widest backward levels, which on small-world graphs cover most
-// of the graph.
+// it (none for bounds 1 and 2, to exhaustion for '*'). Pull: v keeps its
+// place iff an out-neighbor w of v is stamped or, for bounds >= 2, has a
+// stamped out-neighbor itself; the scan stops at the first such w, and w's
+// verdict is memoized for the rest of the prune. Pulling the last two
+// levels instead of pushing them skips the widest backward levels, which on
+// small-world graphs cover most of the graph.
 template <GraphView G>
 bool PruneByEdge(const G& g, const PatternEdge& e,
                  std::vector<std::vector<NodeId>>& sets, MatchScratch& s) {
