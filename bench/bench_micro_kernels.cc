@@ -81,6 +81,16 @@ void BM_CompressR(benchmark::State& state) {
 }
 BENCHMARK(BM_CompressR)->Arg(2000)->Arg(8000)->Arg(32000);
 
+// The perfbench grid-hot graph: every node is its own reach class, so the
+// refinement must split all 19881 DAG nodes (no quotient shrinkage).
+void BM_CompressRGrid(benchmark::State& state) {
+  const Graph g = DirectedGrid(141, 141);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CompressR(g));
+  }
+}
+BENCHMARK(BM_CompressRGrid)->Unit(benchmark::kMillisecond);
+
 void BM_SignatureBisim(benchmark::State& state) {
   const Graph g = LabeledGraph(state.range(0));
   for (auto _ : state) {

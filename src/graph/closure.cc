@@ -2,7 +2,7 @@
 
 #include "graph/closure.h"
 
-#include <deque>
+#include <vector>
 
 #include "graph/topology.h"
 
@@ -48,17 +48,32 @@ void BlockDescendants(const Graph& dag, std::span<const NodeId> order,
   QPGC_CHECK(out.rows() == dag.num_nodes() && out.cols() == block_cols);
   out.Reset();
   const size_t block_end = block_start + block_cols;
+  const auto in_block = [&](NodeId t) {
+    return t >= block_start && t < block_end;
+  };
+  // nonempty[u] = row u has a set bit. The row of a node that reaches no
+  // target of the block stays empty, and OR-ing an empty row is a no-op, so
+  // only non-empty child rows are read.
+  std::vector<uint8_t> nonempty(dag.num_nodes(), 0);
   for (const NodeId u : order) {
     const auto children =
         dir == Direction::kForward ? dag.OutNeighbors(u) : dag.InNeighbors(u);
+    uint8_t any = 0;
     for (const NodeId c : children) {
-      out.OrRowInto(c, u);
-      if (c >= block_start && c < block_end) out.Set(u, c - block_start);
+      if (nonempty[c]) {
+        out.OrRowInto(c, u);
+        any = 1;
+      }
+      if (in_block(c)) {
+        out.Set(u, c - block_start);
+        any = 1;
+      }
     }
-    if (!self_seed.empty() && self_seed[u] && u >= block_start &&
-        u < block_end) {
+    if (!self_seed.empty() && self_seed[u] && in_block(u)) {
       out.Set(u, u - block_start);
+      any = 1;
     }
+    nonempty[u] = any;
   }
 }
 

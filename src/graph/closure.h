@@ -10,9 +10,14 @@
 //  * BlockDescendants: the memory-bounded workhorse. For a DAG, computes for
 //    *every* node its reachability bits into one block of target columns, by
 //    a single sweep in reverse topological order (children before parents).
-//    Sweeping over all blocks costs O(|E| * |V| / 64) word operations but
-//    only O(|V| * block_cols / 8) bytes at a time, which is what makes the
-//    equivalence-class refinement in reach/ scale past the naive algorithm.
+//    A sweep keeps one "row non-empty" flag per node and ORs only non-empty
+//    child rows, so it costs O(|V| + |E|) plus ⌈block_cols/64⌉ word ops per
+//    edge into a node that reaches the block (plus one clear of the block).
+//    Sweeping over all blocks costs at most O(|E| * |V| / 64) word
+//    operations but only O(|V| * block_cols / 8) bytes at a time, which is
+//    what makes the equivalence-class refinement in reach/ and the
+//    transitive reduction (graph/reduction.h) scale past the naive
+//    algorithm.
 //
 // All closures here are *non-empty-path* closures: desc(u) contains u only
 // when explicitly seeded (see `self_seed` — used to mark cyclic SCC nodes,

@@ -3,7 +3,8 @@
 #include "reach/equivalence.h"
 
 #include <algorithm>
-#include <string_view>
+#include <cstring>
+#include <span>
 #include <unordered_map>
 
 #include "graph/closure.h"
@@ -16,32 +17,47 @@ namespace qpgc {
 
 namespace {
 
-// Key for refinement: (current class, exact row bytes). Keying on the exact
-// bytes (not a hash of them) guarantees no two distinct profiles ever land in
-// the same class.
+// Key for refinement: (current class, exact row words). Keying on the exact
+// words (not a hash of them) guarantees no two distinct profiles ever land in
+// the same class. All keys of one pass borrow rows of the same BitMatrix, so
+// they have equal length.
 struct QPGC_GSL_POINTER RefineKey {
   NodeId cls;
-  std::string_view bytes;  // borrows the row storage of the BitMatrix
+  std::span<const Bitset::Word> row;  // borrows a row of the BitMatrix
   bool operator==(const RefineKey& o) const {
-    return cls == o.cls && bytes == o.bytes;
+    return cls == o.cls &&
+           std::memcmp(row.data(), o.row.data(), row.size_bytes()) == 0;
   }
 };
 struct RefineKeyHash {
   size_t operator()(const RefineKey& k) const {
     return static_cast<size_t>(
-        HashCombine(Mix64(k.cls), HashBytes(k.bytes)));
+        HashCombine(Mix64(k.cls), HashWords(k.row.data(), k.row.size())));
   }
 };
 
 // One refinement pass: splits every current class by the content of `rows`.
-// `cls` is updated in place; returns the new class count.
-size_t RefineByRows(const BitMatrix& rows, std::vector<NodeId>& cls) {
+// `cls` holds ids in [0, num_classes) and is updated in place; returns the
+// new class count. New ids are handed out in order of first appearance. A
+// node alone in its class cannot be split, so it takes the next id without a
+// hash or a table probe: only members of shared classes pay O(row words).
+size_t RefineByRows(const BitMatrix& rows, std::vector<NodeId>& cls,
+                    size_t num_classes) {
+  std::vector<uint32_t> class_size(num_classes, 0);
+  for (const NodeId c : cls) ++class_size[c];
+  size_t shared = 0;
+  for (const NodeId c : cls) shared += class_size[c] > 1;
+
   std::unordered_map<RefineKey, NodeId, RefineKeyHash> remap;
-  remap.reserve(cls.size());
+  remap.reserve(shared);
   std::vector<NodeId> next(cls.size());
   NodeId next_id = 0;
   for (size_t v = 0; v < cls.size(); ++v) {
-    const RefineKey key{cls[v], rows.RowBytes(v)};
+    if (class_size[cls[v]] == 1) {
+      next[v] = next_id++;
+      continue;
+    }
+    const RefineKey key{cls[v], rows.RowWords(v)};
     const auto [it, inserted] = remap.try_emplace(key, next_id);
     if (inserted) ++next_id;
     next[v] = it->second;
@@ -63,17 +79,24 @@ std::vector<NodeId> PartitionDagNodes(const Graph& dag,
   block_cols = std::min(block_cols, n);
 
   const std::vector<NodeId> rev_topo = ReverseTopologicalOrder(dag);
-  const std::vector<NodeId> topo = TopologicalOrder(dag);
+  std::vector<NodeId> topo;
 
+  // Once every class is a singleton no later block or direction can split
+  // anything, so both loops stop early. On a directed grid the descendant
+  // blocks leave one tie (the two in-neighbors of the sink), which the
+  // first ancestor block splits; the other ancestor blocks never run.
+  size_t num_classes = 1;
   BitMatrix block(n, block_cols);
-  for (int pass = 0; pass < 2; ++pass) {
-    const Direction dir = pass == 0 ? Direction::kForward : Direction::kBackward;
+  for (int pass = 0; pass < 2 && num_classes < n; ++pass) {
+    const Direction dir =
+        pass == 0 ? Direction::kForward : Direction::kBackward;
+    if (pass == 1) topo.assign(rev_topo.rbegin(), rev_topo.rend());
     const std::vector<NodeId>& order = pass == 0 ? rev_topo : topo;
-    for (size_t start = 0; start < n; start += block_cols) {
+    for (size_t start = 0; start < n && num_classes < n; start += block_cols) {
       const size_t cols = std::min(block_cols, n - start);
       if (cols != block.cols()) block = BitMatrix(n, cols);
       BlockDescendants(dag, order, cyclic, start, cols, dir, block);
-      RefineByRows(block, cls);
+      num_classes = RefineByRows(block, cls, num_classes);
     }
   }
   return cls;
@@ -125,10 +148,7 @@ ReachPartition ComputeReachEquivalenceRef(const Graph& g) {
   const BitMatrix anc = FullClosure(g, Direction::kBackward);
 
   std::vector<NodeId> cls(n, 0);
-  if (n > 0) {
-    RefineByRows(desc, cls);
-    RefineByRows(anc, cls);
-  }
+  if (n > 0) RefineByRows(anc, cls, RefineByRows(desc, cls, 1));
 
   ReachPartition part;
   part.class_of.assign(n, kInvalidNode);

@@ -16,11 +16,18 @@
 //
 // Two implementations:
 //  * ComputeReachEquivalence — condensation + exact partition refinement on
-//    blocked descendant/ancestor bitsets (refinement keys on raw row bytes,
-//    so no hash-collision risk). O(|E_dag| * |V_dag| / 64) word ops with
-//    O(|V_dag| * block_cols / 8) working memory. Templated over GraphView:
-//    only the SCC condensation reads the input; the refinement runs on the
-//    (small) condensation DAG.
+//    blocked descendant/ancestor bitsets (refinement keys on the exact row
+//    words, so no hash-collision risk). Blocks of `block_cols` target
+//    columns are swept descendants first, then ancestors; each block costs
+//    one closure sweep (graph/closure.h: O(|V_dag| + |E_dag|) plus
+//    ⌈block_cols/64⌉ word ops per edge whose child row is non-empty) and
+//    one refinement pass (O(|V_dag|) plus one word hash and at most one
+//    row compare, O(⌈block_cols/64⌉), per node whose class is not yet a
+//    singleton). Refinement stops as soon as every class is a singleton,
+//    skipping the remaining blocks and directions. Worst case
+//    O(|E_dag| * |V_dag| / 64) word ops with O(|V_dag| * block_cols / 8)
+//    working memory. Templated over GraphView: only the SCC condensation
+//    reads the input; the refinement runs on the condensation DAG.
 //  * ComputeReachEquivalenceRef — the paper's own O(|V|(|V| + |E|)) method
 //    (per-node BFS for ancestor and descendant sets), used as ground truth.
 
@@ -54,7 +61,9 @@ struct ReachPartition {
 
 namespace reach_detail {
 
-/// Groups DAG nodes by augmented ancestor AND descendant profiles.
+/// Groups DAG nodes by augmented ancestor AND descendant profiles. Returns
+/// a class id per DAG node, numbered by first appearance in DAG node order,
+/// so the ids depend only on the partition, not on when refinement stopped.
 std::vector<NodeId> PartitionDagNodes(const Graph& dag,
                                       const std::vector<uint8_t>& cyclic,
                                       size_t block_cols);

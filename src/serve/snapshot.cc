@@ -197,21 +197,35 @@ bool ServingSnapshot::Reach(NodeId u, NodeId v, PathMode mode,
   // classes are connected iff any pair of their members is; equal classes
   // answer the diagonal through their self-loop (reach/queries.cc keeps the
   // same reduction for the unfrozen artifact).
+  if (algo == ReachAlgorithm::kBfs) {
+    return serve_detail::SweepReachesNonEmpty(reach_->gr, map[u], map[v]);
+  }
   return EvalReach(reach_->gr, map[u], map[v], PathMode::kNonEmpty, algo);
 }
 
 namespace {
 
-// Per-thread BFS scratch for ReachManyNonEmpty: epoch-stamped visited and
-// source-block arrays avoid both per-call allocation and per-call clearing.
-struct ReachScratch {
-  std::vector<uint32_t> stamp;
-  std::vector<uint32_t> src_stamp;
-  std::vector<NodeId> queue;
-  uint32_t epoch = 0;
-};
+thread_local serve_detail::ReachScratch t_reach_scratch;
 
-thread_local ReachScratch t_reach_scratch;
+}  // namespace
+
+namespace serve_detail {
+
+uint32_t ReachScratch::NextEpoch(size_t num_nodes) {
+  if (stamp.size() < num_nodes || epoch == UINT32_MAX) {
+    stamp.assign(num_nodes, 0);
+    src_stamp.assign(num_nodes, 0);
+    epoch = 0;
+  }
+  queue.clear();
+  return ++epoch;
+}
+
+ReachScratch& ThreadReachScratch() { return t_reach_scratch; }
+
+}  // namespace serve_detail
+
+namespace {
 
 // The multi-source non-empty-path BFS over a frozen quotient shared by
 // ReachManyNonEmpty and ResolveWave: stamps every quotient node reachable
@@ -224,16 +238,10 @@ thread_local ReachScratch t_reach_scratch;
 // router's route tables precompute the blocks).
 uint32_t MultiSourceSweep(const CsrGraph& gr, const std::vector<NodeId>* map,
                           std::span<const NodeId> sources) {
-  ReachScratch& scratch = t_reach_scratch;
-  if (scratch.stamp.size() < gr.num_nodes() || scratch.epoch == UINT32_MAX) {
-    scratch.stamp.assign(gr.num_nodes(), 0);
-    scratch.src_stamp.assign(gr.num_nodes(), 0);
-    scratch.epoch = 0;
-  }
-  const uint32_t epoch = ++scratch.epoch;
+  serve_detail::ReachScratch& scratch = t_reach_scratch;
+  const uint32_t epoch = scratch.NextEpoch(gr.num_nodes());
   std::vector<uint32_t>& stamp = scratch.stamp;
   std::vector<NodeId>& queue = scratch.queue;
-  queue.clear();
   for (const NodeId s : sources) {
     // Many sources share a class (boundary-entry waves collapse onto hub
     // blocks); scanning a hub's fan-out once per *source* instead of once

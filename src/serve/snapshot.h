@@ -54,6 +54,7 @@
 
 #include "core/pattern_scheme.h"
 #include "graph/csr.h"
+#include "graph/graph_view.h"
 #include "pattern/match.h"
 #include "pattern/pattern.h"
 #include "reach/compress_r.h"
@@ -62,6 +63,51 @@
 #include "util/lifetime_annotations.h"
 
 namespace qpgc {
+
+namespace serve_detail {
+
+/// Per-thread sweep scratch over a frozen quotient: epoch-stamped visited
+/// and source-block arrays plus a vector queue, so a sweep neither allocates
+/// nor clears anything once the arrays have grown to the quotient's size.
+struct ReachScratch {
+  std::vector<uint32_t> stamp;
+  std::vector<uint32_t> src_stamp;
+  std::vector<NodeId> queue;
+  uint32_t epoch = 0;
+
+  /// Grows the arrays to `num_nodes` (clearing them, as on epoch wrap) and
+  /// returns a fresh epoch; the queue is emptied.
+  uint32_t NextEpoch(size_t num_nodes);
+};
+
+/// The calling thread's scratch, shared by every snapshot it reads.
+ReachScratch& ThreadReachScratch();
+
+/// True iff block s reaches block t by a path of length >= 1 in `gr`: one
+/// early-exit BFS on the thread's scratch, O(visited blocks + their
+/// out-edges) with no allocation. The default (kBfs) reach path of both
+/// ServingSnapshot and the mmap-served storage::MmapSnapshot.
+template <GraphView G>
+bool SweepReachesNonEmpty(const G& gr, NodeId s, NodeId t) {
+  ReachScratch& scratch = ThreadReachScratch();
+  const uint32_t epoch = scratch.NextEpoch(gr.num_nodes());
+  uint32_t* stamp = scratch.stamp.data();
+  std::vector<NodeId>& queue = scratch.queue;
+  queue.push_back(s);
+  // s itself is not stamped: it counts as reached only if a cycle returns.
+  for (size_t head = 0; head < queue.size(); ++head) {
+    for (const NodeId w : gr.OutNeighbors(queue[head])) {
+      if (w == t) return true;
+      if (stamp[w] != epoch) {
+        stamp[w] = epoch;
+        queue.push_back(w);
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace serve_detail
 
 /// The frozen reachability artifact: CSR quotient Gr plus the node map
 /// R(v). Fill() reuses the destination arrays' capacity (CsrGraph::Refreeze

@@ -42,6 +42,7 @@
 #include "pattern/match.h"
 #include "pattern/pattern.h"
 #include "reach/queries.h"
+#include "serve/snapshot.h"
 #include "storage/codec.h"
 #include "storage/mmap_file.h"
 #include "storage/snapshot_io.h"
@@ -130,11 +131,17 @@ class QPGC_GSL_OWNER MmapSnapshot {
   // --- Queries (mirror ServingSnapshot's semantics exactly) -----------------
 
   /// QR(u, v) on original node ids: rewrite through the mapped reach node
-  /// map, stock algorithm on the mapped quotient (Theorem 2).
+  /// map, then the same quotient sweep as ServingSnapshot::Reach for kBfs
+  /// (or the stock algorithm for the others) on the mapped quotient
+  /// (Theorem 2).
   bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive,
              ReachAlgorithm algo = ReachAlgorithm::kBfs) const {
     QPGC_CHECK(u < reach_map_.size() && v < reach_map_.size());
     if (mode == PathMode::kReflexive && u == v) return true;
+    if (algo == ReachAlgorithm::kBfs) {
+      return serve_detail::SweepReachesNonEmpty(reach_gr_, reach_map_[u],
+                                                reach_map_[v]);
+    }
     return EvalReach(reach_gr_, reach_map_[u], reach_map_[v],
                      PathMode::kNonEmpty, algo);
   }

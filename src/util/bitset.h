@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -188,10 +189,10 @@ class BitMatrix {
   Word* Row(size_t r) { return data_.data() + r * words_per_row_; }
   const Word* Row(size_t r) const { return data_.data() + r * words_per_row_; }
 
-  /// Exact bytes of a row, for partition refinement keyed on row content.
-  std::string_view RowBytes(size_t r) const {
-    return std::string_view(reinterpret_cast<const char*>(Row(r)),
-                            words_per_row_ * sizeof(Word));
+  /// The exact words of a row (bits past `cols` are zero), for partition
+  /// refinement keyed on row content.
+  std::span<const Word> RowWords(size_t r) const {
+    return {Row(r), words_per_row_};
   }
 
   size_t MemoryBytes() const { return data_.capacity() * sizeof(Word); }

@@ -1,13 +1,20 @@
 // Copyright 2026 The QPGC Authors.
 //
-// Hashing helpers: 64-bit mixing, hash combining, and hashing of byte ranges.
-// Partition refinement in reach/ and bisim/ keys hash tables on *exact* byte
-// content (std::string_view) so hash collisions can never merge distinct
-// classes; these helpers only accelerate the table lookups.
+// Hashing helpers: 64-bit mixing, hash combining, and hashing of byte and
+// word ranges. Partition refinement in reach/ and bisim/ keys hash tables on
+// *exact* content (row words, signature vectors) so hash collisions can never
+// merge distinct classes; these helpers only accelerate the table lookups.
+//
+// Cost: HashBytes is byte-serial FNV-1a, one dependent multiply per byte —
+// fine for short keys. HashWords reads 64-bit words into four independent
+// lanes, so a row of w words costs about w/4 dependent multiply steps; it is
+// the hash for bitset rows (reach/equivalence.cc hashes 1 KB rows).
 
 #ifndef QPGC_UTIL_HASH_H_
 #define QPGC_UTIL_HASH_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string_view>
@@ -39,6 +46,29 @@ inline uint64_t HashBytes(std::string_view bytes) {
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+/// Hash of `n` 64-bit words: four xxHash64-style lanes (multiply, rotate,
+/// multiply) over consecutive words, a per-word tail, then a SplitMix64
+/// finish. Equal inputs give equal hashes; not a stable on-disk format.
+inline uint64_t HashWords(const uint64_t* words, size_t n) {
+  constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+  constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+  const auto round = [](uint64_t acc, uint64_t w) {
+    return std::rotl(acc + w * kP2, 31) * kP1;
+  };
+  uint64_t a = kP1 + kP2, b = kP2, c = 0, d = 0 - kP1;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    a = round(a, words[i]);
+    b = round(b, words[i + 1]);
+    c = round(c, words[i + 2]);
+    d = round(d, words[i + 3]);
+  }
+  uint64_t h = std::rotl(a, 1) + std::rotl(b, 7) + std::rotl(c, 12) +
+               std::rotl(d, 18) + n;
+  for (; i < n; ++i) h = round(h, words[i]);
+  return Mix64(h);
 }
 
 /// Hash functor for pair keys in unordered containers.

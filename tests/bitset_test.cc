@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace qpgc {
@@ -125,13 +126,13 @@ TEST(BitMatrixTest, OrRowInto) {
   EXPECT_FALSE(m.Test(0, 7));  // source row untouched
 }
 
-TEST(BitMatrixTest, RowBytesDistinguishRows) {
+TEST(BitMatrixTest, RowWordsDistinguishRows) {
   BitMatrix m(2, 64);
   m.Set(0, 10);
   m.Set(1, 10);
-  EXPECT_EQ(m.RowBytes(0), m.RowBytes(1));
+  EXPECT_TRUE(std::ranges::equal(m.RowWords(0), m.RowWords(1)));
   m.Set(1, 11);
-  EXPECT_NE(m.RowBytes(0), m.RowBytes(1));
+  EXPECT_FALSE(std::ranges::equal(m.RowWords(0), m.RowWords(1)));
 }
 
 TEST(BitMatrixTest, ResetClearsAll) {

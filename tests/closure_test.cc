@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "gen/adversarial.h"
 #include "gen/uniform.h"
 #include "graph/condensation.h"
 #include "graph/topology.h"
@@ -97,6 +101,46 @@ TEST(ClosureTest, BlockedSweepEqualsFullWidth) {
     for (NodeId u = 0; u < n; ++u) {
       for (size_t c = 0; c < cols; ++c) {
         EXPECT_EQ(out.Test(u, c), reference.Test(u, start + c));
+      }
+    }
+  }
+}
+
+// Every block start, both directions, self-seeds on a third of the nodes,
+// and one output matrix reused across blocks of equal width. The DAGs are
+// sparse (mostly isolated nodes, or a broom's bristles), so most rows of a
+// block are empty and the sweep's zero-row skip carries most of the work.
+TEST(ClosureTest, BlockDescendantsEqualsFullClosureWithEmptyRows) {
+  std::vector<Graph> dags;
+  dags.push_back(BuildCondensation(GenerateUniform(300, 90, 1, 21)).dag);
+  dags.push_back(BuildCondensation(GenerateUniform(200, 260, 1, 22)).dag);
+  dags.push_back(Broom(40, 150));
+  for (const Graph& dag : dags) {
+    const size_t n = dag.num_nodes();
+    std::vector<uint8_t> seed(n, 0);
+    for (NodeId v = 0; v < n; v += 3) seed[v] = 1;
+    for (const Direction dir : {Direction::kForward, Direction::kBackward}) {
+      const BitMatrix full = FullClosure(dag, dir);
+      const auto order = dir == Direction::kForward
+                             ? ReverseTopologicalOrder(dag)
+                             : TopologicalOrder(dag);
+      for (const size_t block :
+           {size_t{1}, size_t{63}, size_t{64}, size_t{65}}) {
+        BitMatrix out(n, block);
+        for (size_t start = 0; start < n; start += block) {
+          const size_t cols = std::min(block, n - start);
+          if (cols != out.cols()) out = BitMatrix(n, cols);
+          BlockDescendants(dag, order, seed, start, cols, dir, out);
+          for (NodeId u = 0; u < n; ++u) {
+            for (size_t c = 0; c < cols; ++c) {
+              const NodeId t = static_cast<NodeId>(start + c);
+              const bool want = full.Test(u, t) || (u == t && seed[u]);
+              ASSERT_EQ(out.Test(u, c), want)
+                  << "n=" << n << " block=" << block << " u=" << u
+                  << " t=" << t;
+            }
+          }
+        }
       }
     }
   }

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "gen/adversarial.h"
 #include "gen/random_models.h"
 #include "gen/uniform.h"
 
@@ -108,6 +112,98 @@ TEST_P(EquivalenceAgreementTest, BlockedMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceAgreementTest,
                          ::testing::Range<uint64_t>(1, 17));
+
+// k cycles {c, c'} and k trivial nodes t, all between one source and one
+// sink: every cycle is its own class (it reaches itself), the trivial
+// siblings form one class.
+Graph CyclesBetweenSourceAndSink(size_t k) {
+  Graph g(2 + 3 * k);
+  const NodeId source = 0, sink = 1;
+  for (size_t i = 0; i < k; ++i) {
+    const NodeId c = static_cast<NodeId>(2 + 3 * i);
+    g.AddEdge(c, c + 1);
+    g.AddEdge(c + 1, c);
+    g.AddEdge(source, c);
+    g.AddEdge(source, c + 2);
+    g.AddEdge(c + 1, sink);
+    g.AddEdge(c + 2, sink);
+  }
+  return g;
+}
+
+// k gadgets a -> s, b -> s, p -> a with a sink s per gadget: a and b have
+// equal descendants, so the forward pass leaves every (a, b) pair tied and
+// only the backward pass (p is an ancestor of a alone) splits them.
+Graph TiesOnlyBackwardSplits(size_t k) {
+  Graph g(4 * k);
+  for (size_t i = 0; i < k; ++i) {
+    const NodeId a = static_cast<NodeId>(4 * i), b = a + 1, s = a + 2,
+                 p = a + 3;
+    g.AddEdge(a, s);
+    g.AddEdge(b, s);
+    g.AddEdge(p, a);
+  }
+  return g;
+}
+
+struct Family {
+  std::string name;
+  Graph g;
+};
+
+std::vector<Family> AgreementGraphs() {
+  return {
+      {"grid", DirectedGrid(17, 19)},
+      {"chain", LongChain(300)},
+      {"broom", Broom(100, 200)},
+      {"layered_dag", LayeredDag(10, 30, 2, 5)},
+      {"binary_tree", CompleteBinaryTree(8)},
+      {"uniform", GenerateUniform(300, 900, 1, 11)},
+      {"dense_uniform", GenerateUniform(200, 700, 1, 12)},
+      {"preferential", PreferentialAttachment(300, 3, 0.5, 13)},
+      {"citation", CitationDag(300, 4, 0.5, 14)},
+      {"layered_random", LayeredRandom(300, 5, 3, 0.1, 15)},
+      {"cycles", CyclesBetweenSourceAndSink(40)},
+      {"backward_ties", TiesOnlyBackwardSplits(70)},
+  };
+}
+
+// Every block width that leaves a partial last word (63, 65, 257), a full
+// one (64), one-bit rows (1), and the default: the blocked refinement with
+// its singleton skip and early exit must equal the reference exactly.
+class EquivalenceBlockColsTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(EquivalenceBlockColsTest, MatchesReferenceOnEveryFamily) {
+  const size_t block_cols = GetParam();
+  for (const auto& [name, g] : AgreementGraphs()) {
+    const ReachPartition fast = block_cols == 0
+                                    ? ComputeReachEquivalence(g)
+                                    : ComputeReachEquivalence(g, block_cols);
+    const ReachPartition ref = ComputeReachEquivalenceRef(g);
+    ASSERT_EQ(fast.CanonicalClasses(), ref.CanonicalClasses()) << name;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(fast.cyclic[fast.class_of[v]], ref.cyclic[ref.class_of[v]])
+          << name << " node " << v;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BlockCols, EquivalenceBlockColsTest,
+    ::testing::Values(size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                      size_t{257}, size_t{0}),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return info.param == 0 ? std::string("default")
+                             : "cols" + std::to_string(info.param);
+    });
+
+TEST(EquivalenceTest, BackwardPassSplitsForwardTies) {
+  const ReachPartition p = ComputeReachEquivalence(TiesOnlyBackwardSplits(3));
+  EXPECT_EQ(p.num_classes, 12u);  // every node alone, although a ~fwd b
+  const ReachPartition q =
+      ComputeReachEquivalence(CyclesBetweenSourceAndSink(3));
+  EXPECT_EQ(q.num_classes, 6u);  // source, sink, 3 cycles, the siblings
+}
 
 TEST(EquivalenceTest, EmptyGraph) {
   Graph g(0);

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/adversarial.h"
 #include "gen/random_models.h"
 #include "gen/uniform.h"
 #include "gen/update_gen.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace qpgc {
 namespace {
@@ -234,6 +236,38 @@ TEST(IncRcmTest, SequenceOfBatchesStaysExact) {
     IncRCM(g, effective, rc);
   }
   ExpectEquivalentReachCompression(rc, CompressR(g));
+}
+
+// Forward-only batches on a grid: inserts go from (r, c) to (r + dr, c + dc)
+// with 0 <= dr, dc <= 2, deletes drop existing edges, so the graph stays a
+// DAG whose reach classes are almost all singletons (the refinement's early
+// exit fires on nearly every recompression of the hybrid graph).
+TEST(IncRcmTest, ForwardGridBatchesStayExact) {
+  constexpr size_t kSide = 12;
+  Graph g = DirectedGrid(kSide, kSide);
+  ReachCompression rc = CompressR(g);
+  Rng rng(77);
+  for (int step = 0; step < 12; ++step) {
+    UpdateBatch batch;
+    while (batch.size() < 8) {
+      if (rng.Chance(0.5)) {
+        const size_t r = rng.Uniform(kSide), c = rng.Uniform(kSide);
+        const size_t dr = rng.Uniform(3), dc = rng.Uniform(3);
+        if (dr + dc == 0 || r + dr >= kSide || c + dc >= kSide) continue;
+        batch.Insert(static_cast<NodeId>(r * kSide + c),
+                     static_cast<NodeId>((r + dr) * kSide + c + dc));
+      } else {
+        const NodeId u = static_cast<NodeId>(rng.Uniform(g.num_nodes()));
+        const auto out = g.OutNeighbors(u);
+        if (out.empty()) continue;
+        batch.Delete(u, out[rng.Uniform(out.size())]);
+      }
+    }
+    const UpdateBatch effective = ApplyBatch(g, batch);
+    IncRCM(g, effective, rc);
+    ExpectEquivalentReachCompression(rc, CompressR(g));
+    if (HasFailure()) FAIL() << "after batch " << step;
+  }
 }
 
 }  // namespace
